@@ -181,13 +181,13 @@ def _failover_section(base_dir: Path, config: dict) -> dict:
         query = rng.standard_normal(dim)
         service.query_embedding(query, k=config["k"])  # warm path
 
-        os.kill(service._shards[0]._proc.pid, signal.SIGKILL)
+        os.kill(service.shards[0]._proc.pid, signal.SIGKILL)
         started = time.perf_counter()
         result = service.query_embedding(query, k=config["k"])
         failover_s = time.perf_counter() - started
 
         present = set()
-        for handle in service._shards:
+        for handle in service.shards:
             present.update(handle.call("ids", None, 60.0))
         stats = service.stats()["durability"]
         return {

@@ -22,6 +22,11 @@
 #      (interprocedural lockset races, tape shape/dtype abstract
 #      interpretation, resource-leak tracking) with an incremental
 #      content-hash cache and a 30 s wall-clock budget
+#   9. streaming gate   — acked-loss, incremental identity, freshness
+#  10. benchmark self-checks — the perfbench suite's own tests (outside
+#      tier-1's testpaths) plus a 2 s traced run of every workload, so
+#      its correctness checks and span wrappers run against this tree
+#      (~45 s on two cores)
 #
 # Usage: scripts/ci.sh [pytest args...]
 set -euo pipefail
@@ -66,5 +71,12 @@ python -m repro analyze src --cache .cache/analyze.json --max-seconds 30
 
 echo "==> streaming gate (acked-loss, incremental identity, freshness)"
 python scripts/check_bench_regression.py --only streaming
+
+echo "==> benchmark self-checks (perfbench tests + traced smoke runs)"
+python -m pytest perfbench/tests -q
+for workload in serial_topk sharded_mixed ingest_stream; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+        --trace 1 | tail -n 1 | cut -c1-120
+done
 
 echo "ci.sh: all gates passed"

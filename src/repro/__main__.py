@@ -147,9 +147,8 @@ def _self_test(server, service) -> int:
     print(f"topk:    {status} ids={answer.get('ids')}")
     if status != 200:
         return 1
-    store = getattr(service, "store", None)
-    if store is not None:
-        expected = [int(i) for i in store.query(probe, k=5)[0]]
+    if service.store is not None:
+        expected = [int(i) for i in service.store.query(probe, k=5)[0]]
     else:  # sharded tier: compare against the in-process scatter path
         expected = service.top_k(probe, k=5, use_cache=False).ids
     if answer["ids"] != expected:

@@ -41,12 +41,13 @@ POST        ``/admin/restart/<id>``  respawn one shard worker; on a durable
                                      tier only; 409 when unsupported)
 ==========  =======================  ==========================================
 
-Serves either tier: a single-process
-:class:`~repro.serving.service.SimilarityService` or the sharded
-:class:`~repro.serving.sharding.ShardedService` — the handler relies only
-on their shared surface (``top_k``/``insert``/``delete``/``size``/
-``stats``/``compact``/...). ``/admin/reload`` answers 409 on a service
-without zero-downtime reload.
+Serves either tier through one class: the sharded
+:class:`~repro.serving.sharding.ShardedService` *is* a
+:class:`~repro.serving.service.SimilarityService` (the same coordinator
+over a forked-worker shard set), so every query, write, stats and stream
+route calls the coordinator directly. Only the two worker admin routes
+look for the sharded tier's extra operations: ``/admin/reload`` and
+``/admin/restart/<id>`` answer 409 on the in-process tier.
 
 Errors come back as ``{"error": "..."}`` with 400 (bad request), 404
 (unknown route), 409 (empty store / unsupported admin op / failed
@@ -242,10 +243,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200
 
     def _get_stream(self) -> int:
-        stats_fn = getattr(self.service, "stream_stats", None)
-        if stats_fn is None:
-            raise ReloadError("this service has no streaming ingest tier")
-        self._send_json(200, stats_fn())
+        self._send_json(200, self.service.stream_stats())
         return 200
 
     def _post_topk(self) -> int:
@@ -317,10 +315,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(
                 400, "points must be a list of [source_id, seq, t, x, y]")
             return 400
-        ingest_fn = getattr(self.service, "stream_ingest", None)
-        if ingest_fn is None:
-            raise ReloadError("this service has no streaming ingest tier")
-        self._send_json(200, ingest_fn(points))
+        self._send_json(200, self.service.stream_ingest(points))
         return 200
 
     def _post_compact(self) -> int:

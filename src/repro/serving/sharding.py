@@ -1,24 +1,28 @@
-"""Sharded scatter-gather serving tier.
+"""Sharded scatter-gather serving tier: the forked-worker shard set.
 
-Scales the single-process :class:`~repro.serving.service.SimilarityService`
-past one GIL by splitting the embedding store across N worker
-*processes*, each owning one consistent-hash partition (see
-:mod:`repro.core.partition`) with its own
+Scales the in-process tier past one GIL by splitting the embedding store
+across N worker *processes*, each owning one consistent-hash partition
+(see :mod:`repro.core.partition`) with its own
 :class:`~repro.core.backends.SearchBackend` and an optional encoder
-replica. The parent-side :class:`ShardedService` is the coordinator:
+replica. :class:`WorkerShards` implements the coordinator's shard-set
+interface over them; :class:`ShardedService` is the coordinator
+(:class:`~repro.serving.service.SimilarityService`) over that set, plus
+the worker-only operations (``reload``, ``restart_shard``, ``ring``,
+``shards``, ``shard_busy_seconds``).
 
-* **Queries** encode once (through the same micro-batcher the
-  single-process service uses), fan the query *embedding* out to every
-  shard in parallel, and merge per-shard top-k with the deterministic
-  ``(distance, id)`` order (:func:`~repro.serving.router.merge_top_k`)
-  — so a sharded answer is id-identical to the single-store exact scan.
+* **Queries** encode once (through the coordinator's micro-batcher),
+  fan the query *embedding* out to every shard in parallel, and merge
+  per-shard top-k with the deterministic ``(distance, id)`` order
+  (:func:`~repro.serving.router.merge_top_k`) — so a sharded answer is
+  id-identical to the single-store exact scan.
 * **Mutations** route to exactly one shard by hashing the trajectory id
-  on the ring; the coordinator owns the global id space.
+  on the ring; the shard set owns the global id space.
 * **Failures** are per-shard: each worker sits behind its own
   :class:`~repro.resilience.CircuitBreaker`, and a dead/slow/tripped
   shard drops out of the scatter — the query still answers from the
-  surviving shards, flagged ``partial=True`` — until every shard is
-  unavailable (:class:`~repro.exceptions.ShardUnavailableError`).
+  surviving shards, flagged ``partial=True`` (and never cached) — until
+  every shard is unavailable
+  (:class:`~repro.exceptions.ShardUnavailableError`).
 * **Reload** is zero-downtime and two-phase: ``prepare`` loads the new
   partition/bundle generation in every worker *alongside* the old one
   (requests keep answering from the old), then ``activate`` flips each
@@ -48,9 +52,9 @@ Durability (``durable_dir=...``): each worker keeps a per-shard
 write-ahead log (:mod:`repro.serving.wal`) and acknowledges a mutation
 only after its record is fsynced, so ``restart_shard`` and a cold
 coordinator start recover to an id-identical store (snapshot + WAL
-replay) including the coordinator's ``_next_id``. With
+replay) including the global ``next_id``. With
 ``config.replicas > 0`` each shard also runs warm-standby workers that
-tail the primary's acked WAL; when a primary dies the coordinator
+tail the primary's acked WAL; when a primary dies the shard set
 *promotes* a replica (it catches up to the end of the log, repairs any
 torn tail, and takes over the WAL for append) instead of degrading to a
 partial answer, then respawns a replacement replica that rebuilds from
@@ -66,11 +70,11 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _mp_wait
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, ClassVar, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -79,29 +83,24 @@ from ..core.partition import (HashRing, load_partition,
 from ..core.store import EmbeddingStore
 from ..datasets.trajectory import Trajectory
 from ..exceptions import (ConfigurationError, CorruptArtifactError,
-                          DeadlineExceededError, InvalidTrajectoryError,
                           NotFittedError, PartialWriteError, ReloadError,
                           ReproError, ServiceClosedError,
-                          ServiceOverloadedError, ServiceUnavailableError,
                           ShardUnavailableError)
-from ..resilience.admission import AdmissionGate
 from ..resilience.breaker import CLOSED as _BREAKER_CLOSED
 from ..resilience.breaker import CircuitBreaker
-from .batching import MicroBatcher
 from .bundle import load_bundle_model
-from .metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from .metrics import MetricsRegistry
 from .router import group_by_shard, merge_top_k
-from .service import TopKResult
+from .service import ServingConfig, SimilarityService
 from .wal import (OP_DELETE, OP_INSERT, ShardDurability, ShardWAL,
                   WALGapError, WALTailer)
 
 PathLike = Union[str, Path]
 
-__all__ = ["ShardedConfig", "ShardedService", "ShardRequestError"]
+__all__ = ["ShardedConfig", "ShardedService", "ShardRequestError",
+           "WorkerShards"]
 
 _LOG = logging.getLogger(__name__)
-
-_DEFAULT = object()  # sentinel: timeout=None means "no deadline"
 
 _BOOT_REQ_ID = 0  # the worker's unsolicited "I'm up" message
 
@@ -117,26 +116,18 @@ class ShardRequestError(ReproError):
 
 
 @dataclass
-class ShardedConfig:
+class ShardedConfig(ServingConfig):
     """Tunables of the sharded serving tier.
+
+    Every :class:`~repro.serving.service.ServingConfig` field means the
+    same here, with these tier defaults: the circuit breaker (encoder
+    and each shard's) opens after 3 consecutive failures and stays open
+    5 s, the result cache is off, and ``index`` is ``"exact"`` or
+    ``"ivf"`` — each shard's local backend (``nlist=0`` auto-sizes per
+    shard). The worker-only fields:
 
     Attributes
     ----------
-    index:
-        Per-shard search backend: ``"exact"`` or ``"ivf"``.
-    nlist / nprobe:
-        IVF parameters for each shard's local index (``index="ivf"``
-        only). ``nlist=0`` auto-sizes per shard (~sqrt of the shard's
-        row count).
-    max_batch_size / max_wait_ms:
-        Coordinator encoder micro-batcher settings (same semantics as
-        :class:`~repro.serving.service.ServingConfig`).
-    default_k:
-        ``k`` used when a query does not specify one.
-    max_points:
-        Longest trajectory accepted at the boundary (0 disables).
-    max_inflight:
-        Concurrent requests admitted; 0 disables shedding.
     request_timeout_s:
         Per-shard call timeout: a shard that does not answer within this
         window is treated as unavailable for that request (and the
@@ -144,13 +135,6 @@ class ShardedConfig:
     boot_timeout_s:
         How long to wait for a worker to load its partition at startup,
         restart, and reload-prepare.
-    breaker_failure_threshold / breaker_reset_s:
-        Per-shard circuit breaker: consecutive transport failures that
-        open it, and how long it stays open before probing the shard
-        again.
-    default_timeout_s:
-        Per-request deadline when the caller does not pass one
-        (``None`` disables deadlines by default).
     fsync_window_ms:
         Group-commit window for durable tiers: 0 fsyncs on every ack;
         a positive window batches fsyncs, trading up to that much ack
@@ -162,53 +146,23 @@ class ShardedConfig:
         requires ``durable_dir`` on the service. 0 disables replication.
     """
 
-    index: str = "exact"
-    nlist: int = 0
-    nprobe: int = 8
-    max_batch_size: int = 16
-    max_wait_ms: float = 2.0
-    default_k: int = 10
-    max_points: int = 100_000
-    max_inflight: int = 0
-    request_timeout_s: float = 30.0
-    boot_timeout_s: float = 120.0
+    INDEXES: ClassVar[Tuple[str, ...]] = ("exact", "ivf")
+
+    cache_capacity: int = 0
     breaker_failure_threshold: int = 3
     breaker_reset_s: float = 5.0
-    default_timeout_s: Optional[float] = 30.0
+    request_timeout_s: float = 30.0
+    boot_timeout_s: float = 120.0
     fsync_window_ms: float = 0.0
     wal_segment_bytes: int = 64 << 20
     replicas: int = 0
 
     def __post_init__(self) -> None:
-        if self.index not in ("exact", "ivf"):
-            raise ConfigurationError(
-                f"index must be 'exact' or 'ivf', got {self.index!r}")
-        if self.nlist < 0:
-            raise ConfigurationError("nlist must be >= 0 (0 = auto)")
-        if self.nprobe < 1:
-            raise ConfigurationError("nprobe must be >= 1")
-        if self.max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ConfigurationError("max_wait_ms must be >= 0")
-        if self.default_k < 1:
-            raise ConfigurationError("default_k must be >= 1")
-        if self.max_points < 0:
-            raise ConfigurationError("max_points must be >= 0")
-        if self.max_inflight < 0:
-            raise ConfigurationError("max_inflight must be >= 0")
+        super().__post_init__()
         if self.request_timeout_s <= 0:
             raise ConfigurationError("request_timeout_s must be positive")
         if self.boot_timeout_s <= 0:
             raise ConfigurationError("boot_timeout_s must be positive")
-        if self.breaker_failure_threshold < 1:
-            raise ConfigurationError("breaker_failure_threshold must be >= 1")
-        if self.breaker_reset_s < 0:
-            raise ConfigurationError("breaker_reset_s must be >= 0")
-        if (self.default_timeout_s is not None
-                and self.default_timeout_s <= 0):
-            raise ConfigurationError(
-                "default_timeout_s must be positive (or None)")
         if self.fsync_window_ms < 0:
             raise ConfigurationError("fsync_window_ms must be >= 0")
         if self.wal_segment_bytes < 4096:
@@ -292,17 +246,28 @@ def _recover_durable(shard_id: int, boot: Dict, model, wal_hook,
             _apply_wal_record(store, record)
         return store, {"dur": dur, "wal": None, "tailer": tailer,
                        "applied_lsn": tailer.last_lsn, "role": role}
+    wal, applied = _open_primary_wal(dur, boot, store, applied, wal_hook)
+    return store, {"dur": dur, "wal": wal, "tailer": None,
+                   "applied_lsn": applied, "role": role}
+
+
+def _open_primary_wal(dur: ShardDurability, boot: Dict,
+                      store: EmbeddingStore, applied: int,
+                      wal_hook) -> Tuple[ShardWAL, int]:
+    """Open the shard WAL for append and replay records past ``applied``.
+
+    Opening for append repairs any torn tail; returns ``(wal, applied)``
+    with ``applied`` advanced to the last replayed LSN.
+    """
     wal = ShardWAL(dur.directory,
                    segment_bytes=boot.get("wal_segment_bytes", 64 << 20),
                    fsync_window_ms=boot.get("fsync_window_ms", 0.0),
                    hook=wal_hook)
     for record in wal.drain_recovered():
-        if record.lsn <= applied:
-            continue
-        _apply_wal_record(store, record)
-        applied = record.lsn
-    return store, {"dur": dur, "wal": wal, "tailer": None,
-                   "applied_lsn": applied, "role": role}
+        if record.lsn > applied:
+            _apply_wal_record(store, record)
+            applied = record.lsn
+    return wal, applied
 
 
 def _load_generation(shard_id: int, boot: Dict, wal_hook=None,
@@ -414,31 +379,21 @@ def _shard_worker_main(conn, shard_id: int, boot: Dict, hook,
             return {"count": len(active["store"]),
                     "next_id": active["store"].next_id,
                     "applied_lsn": dur["applied_lsn"]}
+        boot_p = {**active["boot"], "role": "primary"}
         try:
             for record in dur["tailer"].poll():
                 _apply_wal_record(active["store"], record)
             applied = dur["tailer"].last_lsn
         except WALGapError:
-            boot_p = {**active["boot"], "role": "primary"}
             store, dur_state = _recover_durable(
                 shard_id, boot_p, active["model"], wal_hook)
             active = {**active, "boot": boot_p, "store": store,
                       "dur": dur_state}
             return {"count": len(store), "next_id": store.next_id,
                     "applied_lsn": dur_state["applied_lsn"]}
-        boot_p = {**active["boot"], "role": "primary"}
-        wal = ShardWAL(dur["dur"].directory,
-                       segment_bytes=boot_p.get("wal_segment_bytes",
-                                                64 << 20),
-                       fsync_window_ms=boot_p.get("fsync_window_ms", 0.0),
-                       hook=wal_hook)
-        # Opening for append repaired any torn tail; replay whatever the
-        # tailer had not seen yet (normally nothing).
-        for record in wal.drain_recovered():
-            if record.lsn <= applied:
-                continue
-            _apply_wal_record(active["store"], record)
-            applied = record.lsn
+        # Replay whatever the tailer had not seen yet (normally nothing).
+        wal, applied = _open_primary_wal(dur["dur"], boot_p, active["store"],
+                                         applied, wal_hook)
         base = dur["dur"]
         base.read_only = False
         active = {**active, "boot": boot_p,
@@ -465,12 +420,6 @@ def _shard_worker_main(conn, shard_id: int, boot: Dict, hook,
             if len(store) == 0:
                 return np.zeros(0, dtype=np.int64), np.zeros(0)
             return store.query_embedding(embedding, k)
-        if op == "search_many":
-            embeddings, k = payload
-            if len(store) == 0:
-                empty = (np.zeros(0, dtype=np.int64), np.zeros(0))
-                return [empty for _ in range(len(embeddings))]
-            return [store.query_embedding(e, k) for e in embeddings]
         if op == "insert":
             require_primary(op)
             ids, kind, data = payload
@@ -794,60 +743,34 @@ class _ShardHandle:
                     "busy_seconds": self._busy_s,
                     "breaker": self.breaker.stats()}
 
-    def busy_seconds(self) -> float:
-        """Cumulative worker-side busy time (critical-path bench input)."""
-        with self._lock:
-            return self._busy_s
 
+class WorkerShards:
+    """The forked-worker shard set: one worker process per partition.
 
-class ShardedService:
-    """Scatter-gather coordinator over N shard worker processes.
-
-    Parameters
-    ----------
-    partition_dir:
-        Directory written by :func:`repro.core.partition.save_partitions`
-        (or ``python -m repro shard-tool split``); fixes the shard count.
-    bundle_dir:
-        Serving bundle whose model becomes the coordinator's encoder and
-        every worker's encoder replica. ``None`` builds a *search-only*
-        tier: ``query_embedding``/``insert_embeddings`` work, trajectory
-        entry points raise :class:`~repro.exceptions.NotFittedError`.
-    config:
-        :class:`ShardedConfig`.
-    request_hooks:
-        ``{shard_id: hook}`` fault-injection hooks; each worker calls
-        ``hook.trigger()`` before every request (see
-        :class:`repro.testing.faults.KillWorkerOnce`).
-    durable_dir:
-        Root directory for per-shard WALs and snapshots. ``None`` keeps
-        the pre-durability behaviour: mutations live only in worker
-        memory and restarts rebuild from the partition files.
-    wal_hooks:
-        ``{shard_id: hook}`` crash-injection hooks fired inside the
-        primary's WAL append path (see
-        :class:`repro.testing.faults.KillAtWALPoint`).
+    The shard-set interface of
+    :class:`~repro.serving.service.InProcessShards` over
+    :class:`_ShardHandle` pipes. Owns the global id space and the row
+    count, and the tier's own metrics; ``on_change`` runs after a
+    replica promotion so the coordinator can drop cached answers.
     """
 
     def __init__(self, partition_dir: PathLike,
-                 bundle_dir: Optional[PathLike] = None,
-                 config: Optional[ShardedConfig] = None,
+                 bundle_dir: Optional[PathLike], config: ShardedConfig,
                  request_hooks: Optional[Dict] = None,
                  durable_dir: Optional[PathLike] = None,
                  wal_hooks: Optional[Dict] = None):
-        self.config = config or ShardedConfig()
+        self.config = config
         self.partition_dir = Path(partition_dir)
         self.bundle_dir = None if bundle_dir is None else Path(bundle_dir)
         self.durable_dir = None if durable_dir is None else Path(durable_dir)
-        if self.config.replicas > 0 and self.durable_dir is None:
+        if config.replicas > 0 and self.durable_dir is None:
             raise ConfigurationError(
                 "replicas require durable_dir: a standby tails the "
                 "primary's WAL, which only exists on a durable tier")
         manifest = load_partition_manifest(self.partition_dir)
         self.num_shards = int(manifest["num_shards"])
-        self._dim = int(manifest["embedding_dim"])
-        self._ring = HashRing(self.num_shards,
-                              vnodes=int(manifest["vnodes"]))
+        self.dim = int(manifest["embedding_dim"])
+        self.ring = HashRing(self.num_shards, vnodes=int(manifest["vnodes"]))
         hooks = dict(request_hooks or {})
         self._wal_hooks = dict(wal_hooks or {})
         boot = self._boot_spec(self.partition_dir, self.bundle_dir)
@@ -855,8 +778,7 @@ class ShardedService:
         # (micro-batcher, scatter pool): forking a threaded process can
         # deadlock the child on locks held by threads that don't exist
         # there.
-        ctx = multiprocessing.get_context("fork")
-        self._ctx = ctx
+        self._ctx = multiprocessing.get_context("fork")
         self._shards: List[_ShardHandle] = []
         self._replicas: Dict[int, List[_ShardHandle]] = {
             s: [] for s in range(self.num_shards)}
@@ -864,12 +786,11 @@ class ShardedService:
             for shard_id in range(self.num_shards):
                 self._shards.append(_ShardHandle(
                     shard_id, boot, hooks.get(shard_id),
-                    self.config.breaker_failure_threshold,
-                    self.config.breaker_reset_s,
-                    self.config.boot_timeout_s, ctx=ctx,
-                    wal_hook=self._wal_hooks.get(shard_id)))
+                    config.breaker_failure_threshold,
+                    config.breaker_reset_s, config.boot_timeout_s,
+                    ctx=self._ctx, wal_hook=self._wal_hooks.get(shard_id)))
             for shard_id in range(self.num_shards):
-                for _ in range(self.config.replicas):
+                for _ in range(config.replicas):
                     self._replicas[shard_id].append(
                         self._spawn_replica_handle(shard_id))
         except Exception:
@@ -877,31 +798,14 @@ class ShardedService:
                 handle.close()
             raise
 
-        self.model = None
-        self._batcher = None
-        self.probes: List[Trajectory] = []
-        if self.bundle_dir is not None:
-            self.model, _ = load_bundle_model(self.bundle_dir)
-            if self.model.config.embedding_dim != self._dim:
-                for handle in self._shards:
-                    handle.close()
-                raise ConfigurationError(
-                    f"bundle embedding_dim "
-                    f"{self.model.config.embedding_dim} != partition "
-                    f"manifest {self._dim}")
-        self.registry = MetricsRegistry()
-        self._started = time.monotonic()
+        self.on_change: Callable[[], object] = lambda: None
         self._lock = threading.Lock()
         self._next_id = int(manifest["next_id"])
         self._count = int(manifest["total_count"])
-        self._generation = 0
         self._closed = False
-        self._warmed = False
         self._failover_lock = threading.Lock()
 
-        reg = self.registry
-        self._m_queries = reg.counter(
-            "repro_topk_requests_total", "Top-k queries answered.")
+        self.registry = reg = MetricsRegistry()
         self._m_partial = reg.counter(
             "repro_partial_answers_total",
             "Top-k answers missing at least one shard.")
@@ -910,36 +814,11 @@ class ShardedService:
         self._m_shard_failures = reg.counter(
             "repro_shard_failures_total",
             "Per-shard transport failures (dead worker, timeout).")
-        self._m_inserts = reg.counter(
-            "repro_inserted_trajectories_total", "Trajectories inserted.")
-        self._m_deletes = reg.counter(
-            "repro_deleted_trajectories_total", "Trajectories deleted.")
-        self._m_errors = reg.counter(
-            "repro_request_errors_total", "Requests that raised.")
-        self._m_shed = reg.counter(
-            "repro_shed_requests_total",
-            "Requests refused by the admission gate (HTTP 429).")
-        self._m_deadline = reg.counter(
-            "repro_deadline_exceeded_total",
-            "Requests dropped because their deadline expired.")
-        self._m_encoder_failures = reg.counter(
-            "repro_encoder_failures_total",
-            "Batched encoder calls that raised.")
-        self._m_breaker_transitions = reg.counter(
-            "repro_breaker_transitions_total",
-            "Circuit-breaker state transitions (encoder + shards).")
         self._m_reloads = reg.counter(
             "repro_reloads_total", "Successful generation flips.")
-        self._h_latency = reg.histogram(
-            "repro_topk_latency_seconds", "End-to-end top-k latency.")
         self._h_scatter = reg.histogram(
             "repro_scatter_seconds",
             "Fan-out + merge time per top-k (excludes encoding).")
-        self._h_encode = reg.histogram(
-            "repro_encode_batch_seconds", "Batched encoder call latency.")
-        self._h_batch_size = reg.histogram(
-            "repro_encode_batch_size", "Trajectories per encoder batch.",
-            buckets=DEFAULT_SIZE_BUCKETS)
         self._m_failovers = reg.counter(
             "repro_failovers_total",
             "Replica promotions after a primary failure.")
@@ -950,19 +829,6 @@ class ShardedService:
             "repro_wal_fsync_seconds",
             "Duration of the shard's most recent WAL fsync.")
 
-        self._gate = AdmissionGate(self.config.max_inflight)
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_failure_threshold,
-            reset_timeout_s=self.config.breaker_reset_s,
-            on_transition=lambda old, new:
-                self._m_breaker_transitions.inc())
-        if self.model is not None:
-            self._batcher = MicroBatcher(
-                self._encode_batch,
-                max_batch_size=self.config.max_batch_size,
-                max_wait_s=self.config.max_wait_ms / 1000.0,
-                on_batch=self._record_batch,
-                name="repro-sharded-encode-batcher")
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, self.num_shards),
             thread_name_prefix="repro-scatter")
@@ -1015,7 +881,7 @@ class ShardedService:
             self.config.boot_timeout_s, ctx=self._ctx)
 
     def _resync_id_space(self) -> None:
-        """Adopt recovered per-shard state into the coordinator's counters.
+        """Adopt recovered per-shard state into the id space and count.
 
         After WAL replay a shard may hold rows (and a ``next_id``
         high-water mark) the partition manifest has never heard of; the
@@ -1085,6 +951,7 @@ class ShardedService:
             with self._lock:
                 self._next_id = max(self._next_id,
                                     int(info.get("next_id", 0)))
+            self.on_change()
             _LOG.warning(
                 "shard %d: promoted replica (count=%d, applied_lsn=%d)",
                 shard_id, info.get("count", -1), info.get("applied_lsn", -1))
@@ -1098,7 +965,7 @@ class ShardedService:
                     timeout: Optional[float]):
         """One shard request with transparent failover.
 
-        On a transport failure the coordinator promotes a standby (when
+        On a transport failure the shard set promotes a standby (when
         one exists) and retries the request exactly once — callers see a
         complete answer instead of a partial/failed one. Mutation retry
         is safe because shard mutations are idempotent by id.
@@ -1112,143 +979,7 @@ class ShardedService:
             self._promote(shard_id, handle)
             return self._shards[shard_id].call(op, payload, timeout)
 
-    # ------------------------------------------------------------ encoder path
-
-    def _encode_batch(self, trajectories: List[Trajectory]) -> np.ndarray:
-        if not self.breaker.allow():
-            raise ServiceUnavailableError("encoder circuit breaker is open")
-        try:
-            out = self.model.embed(trajectories,
-                                   batch_size=self.config.max_batch_size)
-        except Exception:
-            self._m_encoder_failures.inc()
-            self.breaker.record_failure()
-            raise
-        self.breaker.record_success()
-        return out
-
-    def _record_batch(self, batch_size: int, seconds: float) -> None:
-        self._h_batch_size.observe(batch_size)
-        self._h_encode.observe(seconds)
-
-    def _require_batcher(self) -> MicroBatcher:
-        if self._batcher is None:
-            raise NotFittedError(
-                "this sharded service has no encoder (no bundle_dir); "
-                "use query_embedding/insert_embeddings")
-        return self._batcher
-
-    def _resolve_deadline(self, timeout):
-        """Map a caller timeout to (timeout_s, monotonic deadline)."""
-        if timeout is _DEFAULT:
-            timeout = self.config.default_timeout_s
-        if timeout is None:
-            return None, None
-        return timeout, time.monotonic() + timeout
-
-    def _as_trajectory(self, trajectory) -> Trajectory:
-        """Boundary validation: anything malformed raises the typed error."""
-        try:
-            traj = (trajectory if isinstance(trajectory, Trajectory)
-                    else Trajectory(trajectory))
-        except InvalidTrajectoryError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise InvalidTrajectoryError(
-                f"not a valid trajectory: {exc}") from exc
-        limit = self.config.max_points
-        if limit and len(traj.points) > limit:
-            raise InvalidTrajectoryError(
-                f"trajectory has {len(traj.points)} points (limit {limit})")
-        return traj
-
-    def embed(self, trajectory, timeout=_DEFAULT) -> np.ndarray:
-        """Embedding of one trajectory via the coordinator's batcher."""
-        batcher = self._require_batcher()
-        try:
-            query = self._as_trajectory(trajectory)
-            timeout, deadline = self._resolve_deadline(timeout)
-            with self._gate.admit("embed"):
-                try:
-                    return batcher(query, timeout=timeout, deadline=deadline)
-                except FuturesTimeoutError as exc:
-                    self._m_deadline.inc()
-                    raise DeadlineExceededError(
-                        f"no embedding within {timeout}s") from exc
-        except ServiceOverloadedError:
-            self._m_shed.inc()
-            self._m_errors.inc()
-            raise
-        except Exception:
-            self._m_errors.inc()
-            raise
-
-    # ------------------------------------------------------------- query path
-
-    def top_k(self, trajectory, k: Optional[int] = None,
-              use_cache: bool = True, timeout=_DEFAULT) -> TopKResult:
-        """Scatter-gather top-k for a query trajectory.
-
-        Encodes once, fans the embedding to every shard, merges with the
-        deterministic ``(distance, id)`` order. With all shards healthy
-        the answer is id-identical to a single-store exact scan; when
-        some (but not all) shards are unavailable the answer covers the
-        survivors and is flagged ``partial=True``.
-
-        ``use_cache`` is accepted for transport parity with
-        :class:`~repro.serving.service.SimilarityService` and currently
-        ignored — the coordinator keeps no result cache (per-shard
-        answers are already parallel, and a coordinator cache would need
-        cross-shard generation tracking to invalidate correctly).
-        """
-        start = time.monotonic()
-        try:
-            query = self._as_trajectory(trajectory)
-            if k is None:
-                k = self.config.default_k
-            timeout, deadline = self._resolve_deadline(timeout)
-            batcher = self._require_batcher()
-            with self._gate.admit("top_k"):
-                try:
-                    embedding = batcher(query, timeout=timeout,
-                                        deadline=deadline)
-                except FuturesTimeoutError as exc:
-                    self._m_deadline.inc()
-                    raise DeadlineExceededError(
-                        f"no answer within {timeout}s") from exc
-                return self._scatter_top_k(embedding, k, deadline)
-        except ServiceOverloadedError:
-            self._m_shed.inc()
-            self._m_errors.inc()
-            raise
-        except Exception:
-            self._m_errors.inc()
-            raise
-        finally:
-            self._h_latency.observe(time.monotonic() - start)
-
-    def query_embedding(self, embedding: np.ndarray,
-                        k: Optional[int] = None,
-                        timeout=_DEFAULT) -> TopKResult:
-        """Scatter-gather top-k for an already-computed query embedding."""
-        try:
-            if k is None:
-                k = self.config.default_k
-            embedding = np.asarray(embedding, dtype=np.float64)
-            if embedding.shape != (self._dim,):
-                raise ValueError(
-                    f"expected embedding of shape ({self._dim},), got "
-                    f"{embedding.shape}")
-            _, deadline = self._resolve_deadline(timeout)
-            with self._gate.admit("query_embedding"):
-                return self._scatter_top_k(embedding, k, deadline)
-        except ServiceOverloadedError:
-            self._m_shed.inc()
-            self._m_errors.inc()
-            raise
-        except Exception:
-            self._m_errors.inc()
-            raise
+    # --------------------------------------------------------------- scatter
 
     def _call_timeout(self, deadline: Optional[float]) -> float:
         limit = self.config.request_timeout_s
@@ -1295,53 +1026,37 @@ class ShardedService:
             raise error
         return results, failed
 
-    def _scatter_top_k(self, embedding: np.ndarray, k: int,
-                       deadline: Optional[float]) -> TopKResult:
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) \
-                or k < 1:
-            raise ValueError(f"k must be a positive integer, got {k!r}")
+    # ------------------------------------------------------ shard-set surface
+
+    def search(self, embedding: np.ndarray, k: int,
+               deadline: Optional[float]
+               ) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """Scatter to every shard, merge by ``(distance, id)``."""
         start = time.monotonic()
-        results, failed = self._scatter("search", (embedding, int(k)),
-                                        deadline)
+        results, failed = self._scatter("search", (embedding, k), deadline)
         if not results:
             raise ShardUnavailableError(
                 f"all {self.num_shards} shards unavailable")
-        ids, distances = merge_top_k(list(results.values()), int(k))
+        ids, distances = merge_top_k(list(results.values()), k)
         self._h_scatter.observe(time.monotonic() - start)
-        partial = bool(failed)
-        if partial:
+        if failed:
             self._m_partial.inc()
             _LOG.warning("partial top-k: shards %s unavailable", failed)
-        self._m_queries.inc()
-        return TopKResult(ids=[int(i) for i in ids],
-                          distances=[float(d) for d in distances],
-                          partial=partial)
+        return ids, distances, bool(failed)
 
-    # --------------------------------------------------------------- mutation
+    def insert(self, embeddings: np.ndarray,
+               deadline: Optional[float]) -> List[int]:
+        """Assign the next ids and route each row to its owning shard.
 
-    def insert(self, trajectories: Sequence) -> List[int]:
-        """Encode + insert trajectories; returns their assigned ids.
-
-        Each trajectory routes to the single shard owning its id on the
-        hash ring. Embeddings are computed once on the coordinator (the
-        workers' replicas serve reloads and trajectory-payload inserts
-        from other clients)."""
-        items = [self._as_trajectory(t) for t in trajectories]
-        if not items:
-            return []
-        batcher = self._require_batcher()
-        timeout, deadline = self._resolve_deadline(_DEFAULT)
-        futures = [batcher.submit(t, deadline=deadline) for t in items]
-        embeddings = np.stack([f.result(timeout=timeout) for f in futures])
-        return self.insert_embeddings(embeddings, deadline=deadline)
-
-    def insert_embeddings(self, embeddings: np.ndarray,
-                          deadline: Optional[float] = None) -> List[int]:
-        """Insert precomputed embedding rows; returns their assigned ids."""
+        Rows owned by an unavailable shard raise
+        :class:`~repro.exceptions.PartialWriteError` after the live
+        shards applied theirs; re-sent ids no-op at the shard, so the
+        caller can retry the whole batch.
+        """
         embeddings = np.asarray(embeddings, dtype=np.float64)
-        if embeddings.ndim != 2 or embeddings.shape[1] != self._dim:
+        if embeddings.ndim != 2 or embeddings.shape[1] != self.dim:
             raise ValueError(
-                f"expected embeddings of shape (n, {self._dim}), got "
+                f"expected embeddings of shape (n, {self.dim}), got "
                 f"{embeddings.shape}")
         if embeddings.shape[0] == 0:
             return []
@@ -1349,76 +1064,57 @@ class ShardedService:
             assigned = list(range(self._next_id,
                                   self._next_id + embeddings.shape[0]))
             self._next_id += embeddings.shape[0]
-        groups = group_by_shard(self._ring, assigned)
-        inserted = 0
-        applied: List[int] = []
-        failed: List[int] = []
-        for shard_id, positions in groups.items():
-            ids = [assigned[p] for p in positions]
-            payload = (ids, "embeddings", embeddings[positions])
-            try:
-                result = self._shard_call(shard_id, "insert", payload,
-                                          self._call_timeout(deadline))
-            except ShardUnavailableError:
-                self._m_shard_failures.inc()
-                failed.append(shard_id)
-                continue
-            inserted += int(result["count"])
-            applied.extend(int(i) for i in result["applied"])
-            self._tail_replicas(shard_id)
+        results, failed = self._route_write(
+            "insert", assigned, deadline,
+            lambda rows: ([assigned[p] for p in rows], "embeddings",
+                          embeddings[rows]))
+        inserted = sum(int(r["count"]) for r in results)
         with self._lock:
             self._count += inserted
-            self._generation += 1
-        self._m_inserts.inc(inserted)
         if failed:
-            # Only count durably applied sub-batches; the caller can
-            # retry the whole batch — re-sent ids no-op at the shard.
             raise PartialWriteError(
                 f"insert lost rows owned by unavailable shard(s) {failed} "
                 f"({inserted} of {len(assigned)} rows inserted)",
-                applied_ids=applied)
+                applied_ids=[int(i) for r in results for i in r["applied"]])
         return assigned
 
     def delete(self, ids: Sequence[int]) -> int:
-        """Remove entries by id; returns how many were removed."""
-        id_list = [int(i) for i in ids]
-        if not id_list:
-            return 0
-        groups = group_by_shard(self._ring, id_list)
-        removed = 0
-        deleted_ids: List[int] = []
-        failed: List[int] = []
-        for shard_id, positions in groups.items():
-            owned = [id_list[p] for p in positions]
-            try:
-                result = self._shard_call(shard_id, "delete", owned,
-                                          self.config.request_timeout_s)
-            except ShardUnavailableError:
-                self._m_shard_failures.inc()
-                failed.append(shard_id)
-                continue
-            removed += int(result["removed"])
-            deleted_ids.extend(int(i) for i in result["ids"])
-            self._tail_replicas(shard_id)
+        results, failed = self._route_write(
+            "delete", ids, None, lambda rows: [ids[p] for p in rows])
+        removed = sum(int(r["removed"]) for r in results)
         with self._lock:
             self._count -= removed
-            self._generation += 1
-        self._m_deletes.inc(removed)
         if failed:
             raise PartialWriteError(
                 f"delete could not reach shard(s) {failed} "
                 f"({removed} rows removed elsewhere)",
-                applied_ids=deleted_ids)
+                applied_ids=[int(i) for r in results for i in r["ids"]])
         return removed
 
-    # ----------------------------------------------------------- maintenance
+    def _route_write(self, op: str, ids: Sequence[int],
+                     deadline: Optional[float], payload
+                     ) -> "Tuple[List[Dict], List[int]]":
+        """Send each owning shard ``payload(positions)`` of a write batch.
+
+        Returns the answering shards' results and the unavailable shards;
+        standbys of every shard that applied its sub-batch catch up.
+        """
+        results: List[Dict] = []
+        failed: List[int] = []
+        for shard_id, positions in group_by_shard(self.ring, ids).items():
+            try:
+                results.append(self._shard_call(
+                    shard_id, op, payload(positions),
+                    self._call_timeout(deadline)))
+            except ShardUnavailableError:
+                self._m_shard_failures.inc()
+                failed.append(shard_id)
+                continue
+            self._tail_replicas(shard_id)
+        return results, failed
 
     def compact(self) -> Dict[int, bool]:
-        """Fold pending inserts/tombstones on every shard's index.
-
-        Returns ``{shard: compacted}`` — ``False`` means the shard's
-        backend has nothing to compact (exact scan). Unavailable shards
-        are omitted (compaction is advisory; they compact on restart).
+        """Compact every reachable shard (unavailable ones are omitted).
 
         On a durable tier this also folds each shard's live store into a
         fresh checksummed snapshot generation and truncates its WAL;
@@ -1433,20 +1129,78 @@ class ShardedService:
         return {s: (bool(v["compacted"]) if isinstance(v, dict) else bool(v))
                 for s, v in results.items()}
 
-    def reload(self, partition_dir: Optional[PathLike] = None,
-               bundle_dir: Optional[PathLike] = None) -> Dict:
-        """Zero-downtime flip to a new partition/bundle generation.
+    def size(self) -> int:
+        with self._lock:
+            return self._count
 
-        Two phases: every worker *prepares* (loads the new generation
-        alongside the one still serving), then every worker *activates*
-        (atomic in-worker swap; the worker is serial, so no request ever
-        sees a half-flipped store) and the coordinator swaps its own
-        encoder and id state. Any prepare failure aborts everywhere and
-        the old generation keeps serving — :class:`ReloadError`.
+    def handles(self) -> List[_ShardHandle]:
+        return list(self._shards)
 
-        The shard count is fixed for the life of the tier; resharding is
-        the offline ``shard-tool split`` + restart path.
-        """
+    def stats(self) -> Dict:
+        shard_stats = [h.stats() for h in self.handles()]
+        worker_stats, _ = self._scatter("stats", None, None)
+        with self._lock:
+            next_id = self._next_id
+        return {
+            "store": {"next_id": next_id, "sharding": {
+                "num_shards": self.num_shards,
+                "ring_vnodes": self.ring.vnodes,
+                "index": self.config.index,
+                "shards": shard_stats,
+                "workers": {str(s): w for s, w in
+                            sorted(worker_stats.items())},
+            }},
+            "durability": {
+                "durable_dir": (None if self.durable_dir is None
+                                else str(self.durable_dir)),
+                "fsync_window_ms": self.config.fsync_window_ms,
+                "replicas": self.config.replicas,
+                "failovers": self._m_failovers.value,
+                "replica_handles": {
+                    str(s): [r.stats() for r in standbys]
+                    for s, standbys in sorted(self._replicas.items())
+                    if standbys},
+            },
+        }
+
+    def readiness(self) -> Dict[str, bool]:
+        shard_checks = {f"shard_{h.shard_id}_alive": h.alive
+                        for h in self.handles()}
+        return {"all_shards_alive": all(shard_checks.values()),
+                **shard_checks}
+
+    def refresh_metrics(self) -> None:
+        """Breaker gauges, and the fsync gauges of a durable tier."""
+        for handle in self.handles():
+            is_open = handle.breaker.state != _BREAKER_CLOSED
+            self._g_breaker.set(1.0 if is_open else 0.0,
+                                shard=str(handle.shard_id))
+        if self.durable_dir is None:
+            return
+        try:
+            worker_stats, _ = self._scatter("stats", None, None)
+        except (ReproError, OSError) as exc:
+            _LOG.warning("metrics: worker stats scatter failed: %s", exc)
+            return
+        for s, report in worker_stats.items():
+            wal = (report.get("durability") or {}).get("wal") or {}
+            if "last_fsync_seconds" in wal:
+                self._g_fsync.set(float(wal["last_fsync_seconds"]),
+                                  shard=str(s))
+
+    def close(self) -> None:
+        """Stop the scatter pool, then every worker."""
+        with self._lock:
+            self._closed = True
+        self._pool.shutdown(wait=True)
+        for handle in self._all_handles():
+            handle.close()
+
+    # ------------------------------------------------------- worker-only ops
+
+    def reload(self, partition_dir: Optional[PathLike],
+               bundle_dir: Optional[PathLike]) -> Tuple[Dict, object]:
+        """See :meth:`ShardedService.reload`; returns (report, new model)."""
         with self._failover_lock:
             current_partition, current_bundle = (self.partition_dir,
                                                  self.bundle_dir)
@@ -1463,14 +1217,14 @@ class ShardedService:
             raise ReloadError(
                 f"cannot reload across shard counts ({manifest['num_shards']}"
                 f" != {self.num_shards}); run shard-tool split + restart")
-        if int(manifest["embedding_dim"]) != self._dim:
+        if int(manifest["embedding_dim"]) != self.dim:
             raise ReloadError(
                 f"new partitions have embedding_dim "
-                f"{manifest['embedding_dim']}, serving {self._dim}")
+                f"{manifest['embedding_dim']}, serving {self.dim}")
         new_model = None
         if new_bundle is not None:
             new_model, _ = load_bundle_model(new_bundle)
-            if new_model.config.embedding_dim != self._dim:
+            if new_model.config.embedding_dim != self.dim:
                 raise ReloadError(
                     "new bundle's embedding_dim does not match the tier")
         boot = self._boot_spec(new_partition, new_bundle)
@@ -1485,10 +1239,11 @@ class ShardedService:
                 f"old generation keeps serving")
 
         activated, failed = self._scatter("activate", None, None)
+        handles = self.handles()
         for shard_id in failed:
             # A worker that died between prepare and activate: restart
             # it straight onto the new generation so the tier converges.
-            handle = self._shards[shard_id]
+            handle = handles[shard_id]
             handle._boot = boot
             try:
                 handle.restart()
@@ -1497,7 +1252,7 @@ class ShardedService:
                 _LOG.warning("shard %d unavailable after reload; it will "
                              "serve the new generation once restarted",
                              shard_id)
-        for handle in self._shards:
+        for handle in handles:
             handle._boot = dict(boot)
         for shard_id, standbys in self._replicas.items():
             for replica in standbys:
@@ -1515,173 +1270,127 @@ class ShardedService:
             # the *new* generation's boot spec, never a torn pair.
             self.partition_dir = new_partition
             self.bundle_dir = new_bundle
-        if new_model is not None:
-            self.model = new_model
         with self._lock:
             self._next_id = max(self._next_id, int(manifest["next_id"]))
             self._count = int(manifest["total_count"])
-            self._generation += 1
-            generation = self._generation
         self._m_reloads.inc()
-        return {"generation": generation,
-                "partition_dir": str(new_partition),
-                "activated": sorted(activated),
-                "total_count": int(manifest["total_count"])}
+        return ({"partition_dir": str(new_partition),
+                 "activated": sorted(activated),
+                 "total_count": int(manifest["total_count"])}, new_model)
+
+    def restart(self, shard_id: int) -> Dict:
+        """Respawn one worker; a durable one recovers snapshot + WAL."""
+        if not 0 <= shard_id < self.num_shards:
+            raise ValueError(f"no shard {shard_id}")
+        handle = self.handles()[shard_id]
+        handle.restart()
+        if self.durable_dir is not None:
+            self._resync_id_space()
+        return handle.stats()
+
+
+class ShardedService(SimilarityService):
+    """The coordinator over a :class:`WorkerShards` set.
+
+    Parameters
+    ----------
+    partition_dir:
+        Directory written by :func:`repro.core.partition.save_partitions`
+        (or ``python -m repro shard-tool split``); fixes the shard count.
+    bundle_dir:
+        Serving bundle whose model becomes the coordinator's encoder and
+        every worker's encoder replica. ``None`` builds a *search-only*
+        tier: ``query_embedding``/``insert_embeddings`` work, trajectory
+        entry points raise :class:`~repro.exceptions.NotFittedError`.
+    config:
+        :class:`ShardedConfig`.
+    request_hooks:
+        ``{shard_id: hook}`` fault-injection hooks; each worker calls
+        ``hook.trigger()`` before every request (see
+        :class:`repro.testing.faults.KillWorkerOnce`).
+    durable_dir:
+        Root directory for per-shard WALs and snapshots. ``None`` keeps
+        the pre-durability behaviour: mutations live only in worker
+        memory and restarts rebuild from the partition files.
+    wal_hooks:
+        ``{shard_id: hook}`` crash-injection hooks fired inside the
+        primary's WAL append path (see
+        :class:`repro.testing.faults.KillAtWALPoint`).
+    """
+
+    # The traced benchmark (perfbench/spans.py) wraps these entry points
+    # by looking them up in this class's own __dict__, so the coordinator's
+    # functions are bound here as well as inherited.
+    top_k = SimilarityService.top_k
+    insert = SimilarityService.insert
+    delete = SimilarityService.delete
+
+    def __init__(self, partition_dir: PathLike,
+                 bundle_dir: Optional[PathLike] = None,
+                 config: Optional[ShardedConfig] = None,
+                 request_hooks: Optional[Dict] = None,
+                 durable_dir: Optional[PathLike] = None,
+                 wal_hooks: Optional[Dict] = None):
+        config = config or ShardedConfig()
+        shard_set = WorkerShards(partition_dir, bundle_dir, config,
+                                 request_hooks=request_hooks,
+                                 durable_dir=durable_dir, wal_hooks=wal_hooks)
+        model = None
+        try:
+            if bundle_dir is not None:
+                model, _ = load_bundle_model(bundle_dir)
+                if model.config.embedding_dim != shard_set.dim:
+                    raise ConfigurationError(
+                        f"bundle embedding_dim "
+                        f"{model.config.embedding_dim} != partition "
+                        f"manifest {shard_set.dim}")
+            super().__init__(model, shard_set, config)
+        except Exception:
+            shard_set.close()
+            raise
+        shard_set.on_change = self._invalidate
+
+    def reload(self, partition_dir: Optional[PathLike] = None,
+               bundle_dir: Optional[PathLike] = None) -> Dict:
+        """Zero-downtime flip to a new partition/bundle generation.
+
+        Two phases: every worker *prepares* (loads the new generation
+        alongside the one still serving), then every worker *activates*
+        (atomic in-worker swap; the worker is serial, so no request ever
+        sees a half-flipped store) and the coordinator swaps its own
+        encoder and starts a new cache generation. Any prepare failure
+        aborts everywhere and the old generation keeps serving —
+        :class:`ReloadError`.
+
+        The shard count is fixed for the life of the tier; resharding is
+        the offline ``shard-tool split`` + restart path.
+        """
+        report, model = self._shard_set.reload(partition_dir, bundle_dir)
+        if model is not None:
+            self.model = model
+        return {"generation": self._invalidate(), **report}
 
     def restart_shard(self, shard_id: int) -> Dict:
         """Respawn one worker from its current boot spec (admin path).
 
         On a durable tier the restarted worker recovers snapshot + WAL,
-        and the coordinator re-adopts its id space so recovered rows
+        and the shard set re-adopts its id space so recovered rows
         survive the restart id-identically.
         """
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"no shard {shard_id}")
-        self._shards[shard_id].restart()
-        if self.durable_dir is not None:
-            self._resync_id_space()
-        return self._shards[shard_id].stats()
-
-    # ------------------------------------------------------------- lifecycle
-
-    def synthetic_probe(self) -> Trajectory:
-        """A short trajectory through the centre of the encoder's grid."""
-        if self.model is None:
-            raise NotFittedError(
-                "a search-only sharded service has no encoder grid")
-        encoder = self.model._require_fitted()
-        xmin, ymin, xmax, ymax = encoder.grid.bbox
-        cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
-        step = encoder.grid.cell_size
-        return Trajectory([[cx - step, cy], [cx, cy], [cx + step, cy]])
-
-    def warmup(self, queries: int = 4) -> int:
-        """Touch every shard through the full scatter path; returns count."""
-        rng = np.random.default_rng(0)
-        served = 0
-        for _ in range(max(1, queries)):
-            self.query_embedding(rng.standard_normal(self._dim), k=1)
-            served += 1
-        with self._lock:
-            self._warmed = True
-        return served
-
-    def readiness(self) -> Dict:
-        """Readiness checks for ``/readyz``: every shard up and answering."""
-        shard_checks = {f"shard_{h.shard_id}_alive": h.alive
-                        for h in self._shards}
-        with self._lock:
-            warmed = self._warmed
-            closed = self._closed
-        checks = {
-            "store_nonempty": self.size() > 0,
-            "warmed": warmed,
-            "all_shards_alive": all(shard_checks.values()),
-            "accepting_requests": not closed,
-        }
-        checks.update(shard_checks)
-        ready = (checks["store_nonempty"] and checks["warmed"]
-                 and checks["all_shards_alive"]
-                 and checks["accepting_requests"])
-        return {"ready": ready, "checks": checks}
-
-    def size(self) -> int:
-        """Total rows across all shards (coordinator-tracked)."""
-        with self._lock:
-            return self._count
+        stats = self._shard_set.restart(shard_id)
+        self._invalidate()
+        return stats
 
     @property
     def ring(self) -> HashRing:
         """The id-routing ring (identical to shard-tool split's)."""
-        return self._ring
+        return self._shard_set.ring
 
     @property
     def shards(self) -> List[_ShardHandle]:
         """Per-shard handles — a read-only diagnostics surface."""
-        return list(self._shards)
+        return self._shard_set.handles()
 
     def shard_busy_seconds(self) -> List[float]:
         """Cumulative worker-side busy time per shard (bench input)."""
-        return [h.busy_seconds() for h in self._shards]
-
-    def stats(self) -> Dict:
-        """JSON-friendly operational snapshot (also the ``/v1/stats`` body)."""
-        shard_stats = [h.stats() for h in self._shards]
-        with self._lock:
-            size, next_id = self._count, self._next_id
-            generation = self._generation
-        worker_stats, _ = self._scatter("stats", None, None)
-        return {
-            "store": {"size": size, "next_id": next_id,
-                      "generation": generation,
-                      "embedding_dim": self._dim,
-                      "sharding": {
-                          "num_shards": self.num_shards,
-                          "ring_vnodes": self._ring.vnodes,
-                          "index": self.config.index,
-                          "shards": shard_stats,
-                          "workers": {str(s): w for s, w in
-                                      sorted(worker_stats.items())},
-                      }},
-            "batcher": (None if self._batcher is None
-                        else self._batcher.stats()),
-            "resilience": {
-                "encoder_breaker": self.breaker.stats(),
-                "admission": self._gate.stats(),
-            },
-            "durability": {
-                "durable_dir": (None if self.durable_dir is None
-                                else str(self.durable_dir)),
-                "fsync_window_ms": self.config.fsync_window_ms,
-                "replicas": self.config.replicas,
-                "failovers": self._m_failovers.value,
-                "replica_handles": {
-                    str(s): [r.stats() for r in standbys]
-                    for s, standbys in sorted(self._replicas.items())
-                    if standbys},
-            },
-            "readiness": self.readiness(),
-            "uptime_seconds": time.monotonic() - self._started,
-            "metrics": self.registry.snapshot(),
-        }
-
-    def render_metrics(self) -> str:
-        """Prometheus text exposition (the ``/metrics`` body)."""
-        for handle in self._shards:
-            is_open = handle.breaker.state != _BREAKER_CLOSED
-            self._g_breaker.set(1.0 if is_open else 0.0,
-                                shard=str(handle.shard_id))
-        if self.durable_dir is not None and not self._closed:
-            try:
-                worker_stats, _ = self._scatter("stats", None, None)
-            except (ReproError, OSError) as exc:
-                _LOG.warning("metrics: worker stats scatter failed: %s", exc)
-                worker_stats = {}
-            for s, report in worker_stats.items():
-                wal = (report.get("durability") or {}).get("wal") or {}
-                if "last_fsync_seconds" in wal:
-                    self._g_fsync.set(float(wal["last_fsync_seconds"]),
-                                      shard=str(s))
-        return self.registry.render()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self, drain: bool = True) -> None:
-        """Shut the tier down: batcher, scatter pool, then every worker."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        if self._batcher is not None:
-            self._batcher.close(drain=drain)
-        self._pool.shutdown(wait=True)
-        for handle in self._all_handles():
-            handle.close()
-
-    def __enter__(self) -> "ShardedService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        return [h.stats()["busy_seconds"] for h in self._shard_set.handles()]

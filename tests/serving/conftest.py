@@ -40,3 +40,14 @@ def bundle_dir(serving_world, fresh_store, tmp_path):
     save_bundle(path, model, fresh_store, probes=items[:3],
                 metadata={"origin": "tests"})
     return path
+
+
+class WrappedModel:
+    """Delegate everything to the real model except ``embed``."""
+
+    def __init__(self, model, embed):
+        self._model = model
+        self.embed = embed
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)

@@ -20,18 +20,9 @@ from repro.resilience import CircuitBreaker
 from repro.serving import ServingConfig, SimilarityService
 from repro.testing import FaultInjected, FlakyCallable
 
+from tests.serving.conftest import WrappedModel
+
 pytestmark = pytest.mark.faults
-
-
-class _WrappedModel:
-    """Delegate everything to the real model except ``embed``."""
-
-    def __init__(self, model, embed):
-        self._model = model
-        self.embed = embed
-
-    def __getattr__(self, name):
-        return getattr(self._model, name)
 
 
 def _make_service(serving_world, fresh_store, config=None, embed=None,
@@ -44,7 +35,7 @@ def _make_service(serving_world, fresh_store, config=None, embed=None,
         for traj_id, traj in zip(fresh_store.ids, items[:16]):
             fallback.insert(traj_id, np.asarray(traj.points))
     if embed is not None:
-        model = _WrappedModel(model, embed)
+        model = WrappedModel(model, embed)
     return SimilarityService(
         model, fresh_store,
         config or ServingConfig(max_wait_ms=0.0),
@@ -184,7 +175,7 @@ def test_degraded_answers_overlap_real_neighbours(serving_world, fresh_store):
     service = _make_service(serving_world, fresh_store, config=config,
                             embed=flaky)
     try:
-        with service._store_lock:
+        with service._shard_set._lock:
             ids = list(fresh_store.ids)
         for traj_id, traj in list(zip(ids, items[:16]))[:4]:
             result = service.top_k(traj, k=1, use_cache=False)
