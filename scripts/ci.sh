@@ -23,7 +23,10 @@
 #      interpretation, resource-leak tracking) with an incremental
 #      content-hash cache and a 30 s wall-clock budget
 #   9. streaming gate   — acked-loss, incremental identity, freshness
-#  10. benchmark self-checks — the perfbench suite's own tests (outside
+#  10. serving gate     — 16-client micro-batched speedup floor,
+#      id-identity and 16-client throughput against the committed
+#      BENCH_serving.json (~1 s; guards the batcher's flush policy)
+#  11. benchmark self-checks — the perfbench suite's own tests (outside
 #      tier-1's testpaths) plus a 2 s traced run of every workload, so
 #      its correctness checks and span wrappers run against this tree
 #      (~45 s on two cores)
@@ -71,6 +74,9 @@ python -m repro analyze src --cache .cache/analyze.json --max-seconds 30
 
 echo "==> streaming gate (acked-loss, incremental identity, freshness)"
 python scripts/check_bench_regression.py --only streaming
+
+echo "==> serving gate (16-client speedup floor, id-identity, throughput)"
+python scripts/check_bench_regression.py --only serving
 
 echo "==> benchmark self-checks (perfbench tests + traced smoke runs)"
 python -m pytest perfbench/tests -q

@@ -529,7 +529,8 @@ def main(argv=None) -> int:
     serve.add_argument("--max-batch", type=int, default=16,
                        help="micro-batch size cap (default 16)")
     serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="micro-batch straggler wait (default 2 ms)")
+                       help="micro-batch straggler wait ceiling, applied "
+                            "only under contention (default 2 ms)")
     serve.add_argument("--cache-capacity", type=int, default=1024,
                        help="LRU result-cache entries; 0 disables")
     serve.add_argument("--index", default="exact", choices=["exact", "ivf"],

@@ -10,7 +10,7 @@ recurrent pass is the trajectory representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..datasets.trajectory import Trajectory, pad_batch
 from ..nn.module import Module
 from ..nn.rnn import LSTM
 from ..nn.sam import SAMLSTM, SpatialMemory
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from .config import NeuTrajConfig
 
 
@@ -104,19 +104,32 @@ class TrajectoryEncoder(Module):
               batch_size: int = 128) -> np.ndarray:
         """Inference embeddings (B, d) as a plain array.
 
-        Runs under :class:`~repro.nn.tensor.no_grad` (no tape) with the
-        memory read-only, so embeddings are deterministic and cheap.
+        Runs the recurrent network's forward-only ``infer`` path (no tape,
+        no ``Tensor``) with the memory read-only, so embeddings are
+        deterministic and cheap. Trajectories are batched longest first,
+        so each batch pads as little as possible; rows come back in input
+        order.
         """
-        from ..nn.tensor import no_grad
-        chunks: List[np.ndarray] = []
         items = list(trajectories)
-        with no_grad():
-            for start in range(0, len(items), batch_size):
-                batch = items[start:start + batch_size]
-                chunks.append(self.encode(batch, update_memory=False).data)
-        if not chunks:
-            return np.zeros((0, self.config.embedding_dim))
-        return np.concatenate(chunks, axis=0)
+        out = np.zeros((len(items), self.config.embedding_dim))
+        order = sorted(range(len(items)), key=lambda i: -len(items[i]))
+        with no_grad():  # ``infer`` builds no tape; this keeps it that way
+            for start in range(0, len(order), batch_size):
+                chunk = order[start:start + batch_size]
+                coords, lengths, _ = pad_batch([items[i] for i in chunk])
+                out[chunk] = self._infer(coords, lengths)[0]
+        return out
+
+    def _infer(self, coords: np.ndarray, lengths: np.ndarray,
+               h0: Optional[np.ndarray] = None,
+               c0: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Final ``(h, c)`` of raw padded ``coords`` (B, T, 2)."""
+        inputs = self.normalizer.transform(coords)
+        if self.uses_sam:
+            return self.rnn.infer(inputs, self.grid.to_cells(coords),
+                                  lengths, self.memory, h0, c0)
+        return self.rnn.infer(inputs, lengths, h0, c0)
 
     # -------------------------------------------------- incremental encoding
 
@@ -129,19 +142,19 @@ class TrajectoryEncoder(Module):
                       points: np.ndarray) -> PrefixState:
         """Fold ``points`` ((n, 2) raw coordinates) into ``state``.
 
-        Runs the recurrence one point at a time with batch size 1 under
-        ``no_grad`` and the memory read-only. Each point's input
-        projection is computed individually, so the result is invariant
-        to how a growing trajectory is chunked across calls: extending
-        point by point, in bursts, or all at once produces bit-identical
-        states. (The batched :meth:`embed` path hoists all projections
-        into one GEMM whose BLAS kernel may round differently by ~1 ulp;
-        :meth:`encode_prefix` is the canonical full re-encoding to
-        compare incremental growth against.)
+        Runs the same forward-only ``infer`` path as :meth:`embed`, with
+        batch size 1 and the memory read-only. The input projection is
+        computed row by row (:func:`~repro.nn.rnn.project_rows`) and every
+        step's arithmetic has the same shapes however the points are
+        split, so the result is invariant to how a growing trajectory is
+        chunked across calls: extending point by point, in bursts, or all
+        at once produces bit-identical states. (:meth:`embed` batches
+        several trajectories, whose recurrent matmul may round differently
+        by ~1 ulp; :meth:`encode_prefix` is the canonical full
+        re-encoding to compare incremental growth against.)
 
         Returns a new state; ``state`` itself is not mutated.
         """
-        from ..nn.tensor import no_grad
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError(
@@ -151,22 +164,10 @@ class TrajectoryEncoder(Module):
                                length=state.length)
         if not np.isfinite(points).all():
             raise ValueError("points must be finite")
-        inputs = self.normalizer.transform(points)
-        cells = self.grid.to_cells(points) if self.uses_sam else None
-        cell = self.rnn.cell
         with no_grad():
-            h = Tensor(state.h.copy())
-            c = Tensor(state.c.copy())
-            for t in range(inputs.shape[0]):
-                # Project exactly one point: (1, 1, 2) -> one step's
-                # pre-activations, keeping the fold chunk-invariant.
-                x_gates, x_cand = cell.project_inputs(inputs[t:t + 1][None])
-                if self.uses_sam:
-                    h, c = cell.step(x_gates[0], x_cand[0], cells[t:t + 1],
-                                     h, c, self.memory, write=False)
-                else:
-                    h, c = cell.step(x_gates[0], x_cand[0], h, c)
-        return PrefixState(h=h.data, c=c.data,
+            h, c = self._infer(points[None], np.array([len(points)]),
+                               state.h, state.c)
+        return PrefixState(h=h, c=c,
                            length=state.length + int(points.shape[0]))
 
     def encode_prefix(self, points: np.ndarray) -> PrefixState:

@@ -55,13 +55,13 @@ class Grid:
     def to_cells(self, points: np.ndarray) -> np.ndarray:
         """Map (.., 2) coordinates to integer cell indices, clipped to range."""
         points = np.asarray(points, dtype=np.float64)
-        xmin, ymin, _, _ = self.bbox
-        cells = np.empty(points.shape, dtype=int)
-        cells[..., 0] = np.floor((points[..., 0] - xmin) / self.cell_size)
-        cells[..., 1] = np.floor((points[..., 1] - ymin) / self.cell_size)
-        cells[..., 0] = np.clip(cells[..., 0], 0, self.shape[0] - 1)
-        cells[..., 1] = np.clip(cells[..., 1], 0, self.shape[1] - 1)
-        return cells
+        cells = np.floor((points - self.bbox[:2]) / self.cell_size).astype(
+            np.int64)
+        # minimum/maximum rather than np.clip: clip's per-call dtype-limit
+        # lookup costs more than the arithmetic on a short trajectory.
+        np.maximum(cells, 0, out=cells)
+        return np.minimum(cells, (self.shape[0] - 1, self.shape[1] - 1),
+                          out=cells)
 
     def cell_center(self, cells: np.ndarray) -> np.ndarray:
         """Continuous coordinates of cell centers for (.., 2) cell indices."""

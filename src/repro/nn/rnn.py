@@ -15,11 +15,17 @@ Two execution paths produce numerically equivalent results:
 * the **legacy** path (``fused=False``) runs :meth:`LSTMCell.forward`
   step by step exactly as written in the paper equations; it is kept as
   the equivalence/benchmark baseline.
+
+Inference does not build a tape at all: :meth:`LSTM.infer` is a
+forward-only numpy fold (one fused recurrent matmul per step, no
+``Tensor``) over rows sorted longest first, so padded steps cost
+nothing. :func:`project_rows` and :func:`fold_longest_first` are shared
+with the SAM-LSTM's inference path.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -133,6 +139,141 @@ class LSTM(Module):
         if return_sequence:
             return h, outputs
         return h
+
+    def infer(self, inputs: np.ndarray, lengths: np.ndarray,
+              h0: Optional[np.ndarray] = None,
+              c0: Optional[np.ndarray] = None
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Forward-only final states ``(h, c)`` of a padded batch.
+
+        ``inputs`` is (B, T, input_size); row ``b`` is valid for its first
+        ``lengths[b]`` steps. Matches :meth:`forward`'s final state to
+        rounding but allocates no ``Tensor``: gates and candidate share
+        one fused 4d-wide recurrent matmul and one ``tanh`` per step (see
+        :func:`fuse_gates`). ``h0``/``c0`` (B, d) resume a fold.
+        """
+        cell = self.cell
+        d = self.hidden_size
+        w, u_t, b = cached_on(cell, gate_arrays(cell),
+                              lambda: fuse_gates(cell, 3 * d))
+        x_proj, order = project_rows(inputs, lengths, w, b)
+        gate_buf = np.empty((4, len(order), d), dtype=np.float64)
+
+        def step(t: int, h: np.ndarray, c: np.ndarray):
+            n = len(h)
+            z = h @ u_t
+            z += x_proj[t, :n]
+            # Gate-major tanh output: each gate's (n, d) block contiguous.
+            g = np.tanh(z.reshape(n, 4, d).transpose(1, 0, 2),
+                        out=gate_buf[:, :n])
+            sig = g[:3]  # [f, i, o]; g[3] is the candidate
+            sig *= 0.5
+            sig += 0.5
+            c = g[0] * c
+            c += g[1] * g[3]
+            h = np.tanh(c)
+            h *= g[2]
+            return h, c
+
+        return fold_longest_first(step, lengths, order, h0, c0, d)
+
+
+def gate_arrays(cell: Module) -> Tuple[np.ndarray, ...]:
+    """The ``.data`` arrays a cell's fused gate projection is built from."""
+    return (cell.w_gates.data, cell.u_gates.data, cell.b_gates.data,
+            cell.w_cand.data, cell.u_cand.data, cell.b_cand.data)
+
+
+def fuse_gates(cell: Module, gate_rows: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One fused ``(W, U^T, b)`` for a cell's gate and candidate blocks.
+
+    Stacks ``[w_gates; w_cand]`` (and ``u``, ``b`` alike) so one matmul
+    yields every pre-activation, with the first ``gate_rows`` rows (the
+    sigmoid gates) halved: ``sigmoid(x) = (1 + tanh(x / 2)) / 2``, and
+    halving is exact in binary floating point, so a single ``tanh`` over
+    the fused slab serves gates and candidate alike. ``U^T`` is returned
+    C-contiguous: a transposed view costs numpy a copy per matmul.
+    """
+    w_gates, u_gates, b_gates, w_cand, u_cand, b_cand = gate_arrays(cell)
+    u = np.concatenate([u_gates * 0.5, u_cand])
+    return (np.concatenate([w_gates * 0.5, w_cand]),
+            np.ascontiguousarray(u.T, dtype=np.float64),
+            np.concatenate([b_gates * 0.5, b_cand]))
+
+
+def cached_on(module: Module, sources: Tuple[np.ndarray, ...],
+              build: Callable[[], tuple]) -> tuple:
+    """``build()``, cached on ``module`` while ``sources`` stay the same.
+
+    Optimizers and ``load_state_dict`` assign new ``Parameter.data``
+    arrays rather than writing into them (the tape-discipline lint rule
+    forbids in-place writes outside this package), so the identity of
+    the source arrays is an exact staleness check for weights derived
+    from them.
+    """
+    cached = module.__dict__.get("_inference_cache")
+    if cached is None or len(cached[0]) != len(sources) or not all(
+            a is b for a, b in zip(cached[0], sources)):
+        cached = (sources, build())
+        module._inference_cache = cached
+    return cached[1]
+
+
+def project_rows(inputs: np.ndarray, lengths: np.ndarray,
+                 weight: np.ndarray, bias: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Time-major input projections of a batch sorted longest first.
+
+    Returns ``(x_proj, order)``: ``order`` sorts ``lengths`` descending
+    and ``x_proj[t, i]`` is ``inputs[order[i], t] @ weight.T + bias``.
+    The projection runs one input column at a time — as fast as a GEMM
+    for the 2-wide coordinate input, and every output row depends only
+    on its own input row (a BLAS GEMM may block, and so round,
+    differently with the row count). Projecting a chunk of points at
+    once therefore equals projecting them one by one, which keeps the
+    incremental prefix fold chunk-invariant.
+    """
+    order = np.argsort(-np.asarray(lengths, dtype=np.int64), kind="stable")
+    rows = np.asarray(inputs, dtype=np.float64)[order].transpose(1, 0, 2)
+    out = rows[..., 0:1] * weight[:, 0]
+    for j in range(1, weight.shape[1]):
+        out += rows[..., j:j + 1] * weight[:, j]
+    out += bias
+    return out, order
+
+
+def fold_longest_first(step: Callable, lengths: np.ndarray,
+                       order: np.ndarray, h0: Optional[np.ndarray],
+                       c0: Optional[np.ndarray], hidden_size: int
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """Fold ``step(t, h, c) -> (h, c)`` over a batch sorted longest first.
+
+    ``order`` sorts ``lengths`` descending and the step's inputs are laid
+    out in that order (see :func:`project_rows`). At step ``t`` only the
+    leading rows with ``length > t`` are passed in, so a row's state
+    freezes at its last valid step with no per-step carry mask and no
+    work on padding. ``h0``/``c0`` default to zeros. Returns the final
+    ``(h, c)`` in the original row order.
+    """
+    sorted_lengths = np.asarray(lengths, dtype=np.int64)[order]
+    batch = len(order)
+    h_final = (np.zeros((batch, hidden_size), dtype=np.float64) if h0 is None
+               else np.array(h0, dtype=np.float64))
+    c_final = (np.zeros((batch, hidden_size), dtype=np.float64) if c0 is None
+               else np.array(c0, dtype=np.float64))
+    live = int(np.count_nonzero(sorted_lengths))
+    h, c = h_final[order[:live]], c_final[order[:live]]
+    for t in range(int(sorted_lengths[0]) if batch else 0):
+        if sorted_lengths[live - 1] <= t:
+            # Rows are sorted, so the ones still running are a prefix.
+            now = int(np.count_nonzero(sorted_lengths > t))
+            h_final[order[now:live]], c_final[order[now:live]] = \
+                h[now:], c[now:]
+            h, c, live = h[:now], c[:now], now
+        h, c = step(t, h, c)
+    h_final[order[:live]], c_final[order[:live]] = h, c
+    return h_final, c_final
 
 
 def lengths_to_mask(lengths: np.ndarray, max_len: Optional[int] = None) -> np.ndarray:

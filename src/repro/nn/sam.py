@@ -35,6 +35,8 @@ import numpy as np
 
 from . import init
 from .layers import Linear
+from .rnn import (cached_on, fold_longest_first, fuse_gates, gate_arrays,
+                  project_rows)
 from .module import Module, Parameter
 from .tensor import Tensor, concat, unstack, where
 
@@ -68,11 +70,29 @@ class SpatialMemory:
         self.bandwidth = int(bandwidth)
         self.bounded = bool(bounded)
         p, q = self.grid_shape
-        self.data = np.zeros((p, q, self.hidden_size), dtype=np.float64)
+        # Flat (P·Q + 1, d) cell table; ``data`` is a (P, Q, d) view of
+        # all but the last row, which stays zero so window positions
+        # outside the grid read as zeros through a plain ``take``.
+        self.table = np.zeros((p * q + 1, self.hidden_size), dtype=np.float64)
         offsets = np.arange(-bandwidth, bandwidth + 1, dtype=np.int64)
         ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
         # (K, 2) window offsets in row-major scan order, K = (2w+1)^2.
         self._window = np.stack([ox.ravel(), oy.ravel()], axis=1)
+
+    @property
+    def data(self) -> np.ndarray:
+        """(P, Q, d) cell embeddings, a view of :attr:`table`."""
+        p, q = self.grid_shape
+        return self.table[:-1].reshape(p, q, self.hidden_size)
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        value = np.asarray(value, dtype=np.float64)
+        p, q = self.grid_shape
+        if value.shape != (p, q, self.hidden_size):
+            raise ValueError(f"memory data must have shape "
+                             f"{(p, q, self.hidden_size)}, got {value.shape}")
+        self.table[:-1] = value.reshape(p * q, self.hidden_size)
 
     @property
     def window_size(self) -> int:
@@ -80,13 +100,31 @@ class SpatialMemory:
 
     def reset(self) -> None:
         """Zero the memory (used between training runs / datasets)."""
-        self.data[:] = 0.0
+        self.table[:] = 0.0
 
     def copy(self) -> "SpatialMemory":
         clone = SpatialMemory(self.grid_shape, self.hidden_size,
                               self.bandwidth, bounded=self.bounded)
-        clone.data = self.data.copy()
+        clone.table = self.table.copy()
         return clone
+
+    def window_rows(self, cells: np.ndarray) -> np.ndarray:
+        """:attr:`table` rows of the scan windows around ``cells`` (..., 2).
+
+        Returns (..., K) row indices; window positions outside the grid
+        point at the table's trailing zero row.
+        """
+        cells = np.asarray(cells, dtype=np.int64)
+        gx = cells[..., 0:1] + self._window[:, 0]
+        gy = cells[..., 1:2] + self._window[:, 1]
+        p, q = self.grid_shape
+        rows = gx * q
+        rows += gy
+        # One unsigned compare per axis tests 0 <= g < size.
+        outside = gx.view(np.uint64) >= p
+        outside |= gy.view(np.uint64) >= q
+        rows[outside] = p * q
+        return rows
 
     def gather(self, cells: np.ndarray) -> np.ndarray:
         """Read the scan windows around a batch of grid cells.
@@ -101,19 +139,7 @@ class SpatialMemory:
         (B, K, d) array of the surrounding grid-cell embeddings; positions
         outside the grid read as zeros.
         """
-        cells = np.asarray(cells, dtype=int)
-        coords = cells[:, None, :] + self._window[None, :, :]  # (B, K, 2)
-        p, q = self.grid_shape
-        gx = coords[..., 0]
-        gy = coords[..., 1]
-        valid = (gx >= 0) & (gx < p) & (gy >= 0) & (gy < q)
-        # One flat ``take`` instead of a (gx, gy) double fancy index: this
-        # gather runs once per recurrent step and is the read hot spot.
-        flat = np.clip(gx, 0, p - 1) * q + np.clip(gy, 0, q - 1)
-        window = self.data.reshape(p * q, self.hidden_size).take(
-            flat.ravel(), axis=0).reshape(*flat.shape, self.hidden_size)
-        window[~valid] = 0.0
-        return window
+        return self.table.take(self.window_rows(cells), axis=0)
 
     def write(self, cells: np.ndarray, values: np.ndarray, gates: np.ndarray,
               mask: Optional[np.ndarray] = None) -> None:
@@ -435,3 +461,68 @@ class SAMLSTM(Module):
         if return_sequence:
             return h, outputs
         return h
+
+    def infer(self, inputs: np.ndarray, grid_cells: np.ndarray,
+              lengths: np.ndarray, memory: SpatialMemory,
+              h0: Optional[np.ndarray] = None,
+              c0: Optional[np.ndarray] = None
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Forward-only final states ``(h, c)``; the memory is read-only.
+
+        The inference twin of :meth:`forward` (``update_memory=False``),
+        equal to it to rounding but allocating no ``Tensor``:
+
+        * gates and candidate share one fused 5d-wide recurrent matmul
+          and one ``tanh`` (see :func:`~repro.nn.rnn.fuse_gates`);
+        * the scan-window rows of every step are computed once per batch
+          (:meth:`SpatialMemory.window_rows`), and each step gathers its
+          (B, K, d) window with one ``take`` — out-of-grid positions hit
+          the table's zero row instead of a per-step mask write;
+        * rows run longest first and drop out as they end
+          (:func:`~repro.nn.rnn.fold_longest_first`), so padding is free.
+
+        ``h0``/``c0`` (B, d) resume a fold from a saved prefix state.
+        """
+        cell = self.cell
+        d = self.hidden_size
+        read = cell.read_proj
+        w, u_t, b, read_t, read_b = cached_on(
+            cell, gate_arrays(cell) + (read.weight.data, read.bias.data),
+            lambda: fuse_gates(cell, 4 * d) + (
+                np.ascontiguousarray(read.weight.data.T, dtype=np.float64),
+                read.bias.data))
+        table = memory.table
+        x_proj, order = project_rows(inputs, lengths, w, b)
+        rows = memory.window_rows(
+            np.asarray(grid_cells, dtype=np.int64)[order].transpose(1, 0, 2))
+        gate_buf = np.empty((5, len(order), d), dtype=np.float64)
+
+        def step(t: int, h: np.ndarray, c: np.ndarray):
+            n = len(h)
+            z = h @ u_t
+            z += x_proj[t, :n]
+            # One tanh over the fused slab, written gate-major so that each
+            # gate's (n, d) block is contiguous for the ops below.
+            g = np.tanh(z.reshape(n, 5, d).transpose(1, 0, 2),
+                        out=gate_buf[:, :n])
+            sig = g[:4]  # [f, i, s, o]; g[4] is the candidate
+            sig *= 0.5
+            sig += 0.5
+            c_hat = g[0] * c
+            c_hat += g[1] * g[4]
+            window = table.take(rows[t, :n], axis=0)  # (n, K, d)
+            attn = window @ c_hat[:, :, None]  # (n, K, 1) scores
+            attn -= attn.max(axis=1, keepdims=True)
+            np.exp(attn, out=attn)
+            attn /= attn.sum(axis=1, keepdims=True)
+            mix = attn.transpose(0, 2, 1) @ window  # (n, 1, d)
+            c = np.concatenate([c_hat, mix[:, 0]], axis=1) @ read_t
+            c += read_b
+            np.tanh(c, out=c)
+            c *= g[2]
+            c += c_hat
+            h = np.tanh(c)
+            h *= g[3]
+            return h, c
+
+        return fold_longest_first(step, lengths, order, h0, c0, d)

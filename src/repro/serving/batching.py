@@ -5,10 +5,18 @@ than on single items (the recurrence is vectorised across the batch
 dimension), but online clients arrive one request at a time. The
 :class:`MicroBatcher` bridges the two: callers ``submit()`` individual
 trajectories and immediately get a :class:`~concurrent.futures.Future`;
-a single worker thread coalesces whatever is queued — waiting at most
-``max_wait_s`` after the first item for stragglers, dispatching early the
-moment ``max_batch_size`` items are pending — and resolves each future
-with its own row of the batched encoder output.
+a single worker thread coalesces whatever is queued and resolves each
+future with its own row of the batched encoder output.
+
+Waiting for stragglers is contention-aware, with no extra knob: when the
+queue is empty after the first item is taken and the previous dispatch
+held a single item, the item dispatches at once, so a lone caller pays
+no flush wait. Otherwise (items already queued, or the previous batch
+coalesced two or more) the worker holds for up to ``max_wait_s`` after
+the first item, dispatching early the moment ``max_batch_size`` items
+are pending. ``max_wait_s`` is thus a ceiling that applies only under
+contention; under load, items that arrive during one encode form the
+next batch either way.
 
 Failure isolation: when a batched call raises, the worker retries each
 item of the batch individually so the exception lands only on the
@@ -45,6 +53,10 @@ __all__ = ["MicroBatcher", "BatcherClosedError"]
 _LOG = logging.getLogger(__name__)
 
 
+#: A queued request: (item, future, deadline, monotonic submit time).
+_Entry = Tuple[Any, "Future", Optional[float], float]
+
+
 class BatcherClosedError(ServiceClosedError):
     """Raised when submitting to (or draining from) a closed batcher."""
 
@@ -71,18 +83,22 @@ class MicroBatcher:
     max_batch_size:
         Dispatch immediately once this many items are pending.
     max_wait_s:
-        After the first item of a batch arrives, wait at most this long
-        for more before dispatching a partial batch. 0 dispatches
-        whatever is queued without waiting.
+        Under contention (see the module docstring), wait at most this
+        long after the first item of a batch for more before dispatching
+        a partial batch. 0 dispatches whatever is queued without waiting.
     on_batch:
         Optional ``on_batch(batch_size, seconds)`` observer, called after
         every dispatched batch (success or failure) — the metrics hook.
+    on_wait:
+        Optional ``on_wait(seconds)`` observer, called once per dispatched
+        item with its queue wait (``submit`` to the start of its batch).
     """
 
     def __init__(self, batch_fn: Callable[[List[Any]], Sequence],
                  max_batch_size: int = 16, max_wait_s: float = 0.002,
                  on_batch: Optional[Callable[[int, float], None]] = None,
-                 name: str = "micro-batcher"):
+                 name: str = "micro-batcher",
+                 on_wait: Optional[Callable[[float], None]] = None):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if max_wait_s < 0:
@@ -91,10 +107,12 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
         self._on_batch = on_batch
+        self._on_wait = on_wait
         self._lock = threading.Lock()
         self._has_work = threading.Condition(self._lock)
-        self._queue: "Deque[Tuple[Any, Future, Optional[float]]]" = deque()
+        self._queue: "Deque[_Entry]" = deque()
         self._closed = False
+        self._last_batch_size = 0
         self._batches_dispatched = 0
         self._items_dispatched = 0
         self._deadline_expired = 0
@@ -117,7 +135,7 @@ class MicroBatcher:
         with self._lock:
             if self._closed:
                 raise BatcherClosedError("batcher is closed")
-            self._queue.append((item, future, deadline))
+            self._queue.append((item, future, deadline, time.monotonic()))
             self._has_work.notify()
         return future
 
@@ -141,19 +159,19 @@ class MicroBatcher:
             if self._closed:
                 return
             self._closed = True
-            pending: List[Tuple[Any, Future, Optional[float]]] = []
+            pending: "List[_Entry]" = []
             if not drain:
                 pending = list(self._queue)
                 self._queue.clear()
             self._has_work.notify_all()
-        for _, future, _ in pending:
+        for _, future, _, _ in pending:
             _fail_future(future, ServiceClosedError(
                 "service shut down before this request was processed"))
         self._worker.join(timeout=timeout)
         with self._lock:
             leftovers = list(self._queue)
             self._queue.clear()
-        for _, future, _ in leftovers:
+        for _, future, _, _ in leftovers:
             _fail_future(future, ServiceClosedError(
                 "service shut down before this request was processed"))
 
@@ -184,11 +202,13 @@ class MicroBatcher:
 
     # ---------------------------------------------------------------- worker
 
-    def _collect(self) -> "List[Tuple[Any, Future, Optional[float]]]":
+    def _collect(self) -> "List[_Entry]":
         """Block until work exists, then gather one batch (deadline-aware).
 
-        Returns an empty list only when the batcher is closed and fully
-        drained.
+        Holds for stragglers only under contention: when items are
+        already queued behind the first, or the previous dispatch
+        coalesced two or more. Returns an empty list only when the
+        batcher is closed and fully drained.
         """
         with self._lock:
             while not self._queue and not self._closed:
@@ -196,6 +216,8 @@ class MicroBatcher:
             if not self._queue:
                 return []
             batch = [self._queue.popleft()]
+            if not self._queue and self._last_batch_size <= 1:
+                return batch
             deadline = time.monotonic() + self.max_wait_s
             while len(batch) < self.max_batch_size:
                 if self._queue:
@@ -208,6 +230,7 @@ class MicroBatcher:
                 if not self._queue and (self._closed
                                         or time.monotonic() >= deadline):
                     break
+            self._last_batch_size = len(batch)
             return batch
 
     def _run(self) -> None:
@@ -217,10 +240,9 @@ class MicroBatcher:
                 return
             self._dispatch(batch)
 
-    def _dispatch(self,
-                  batch: "List[Tuple[Any, Future, Optional[float]]]") -> None:
+    def _dispatch(self, batch: "List[_Entry]") -> None:
         now = time.monotonic()
-        expired = [(item, fut) for item, fut, dl in batch
+        expired = [(item, fut) for item, fut, dl, _ in batch
                    if dl is not None and now > dl]
         for _, fut in expired:
             _fail_future(fut, DeadlineExceededError(
@@ -228,12 +250,16 @@ class MicroBatcher:
         if expired:
             with self._lock:
                 self._deadline_expired += len(expired)
-        live = [(item, fut) for item, fut, dl in batch
+        live = [(item, fut, submitted) for item, fut, dl, submitted in batch
                 if not (dl is not None and now > dl)
                 and fut.set_running_or_notify_cancel()]
         if not live:
             return
         start = time.monotonic()
+        if self._on_wait is not None:
+            for _, _, submitted in live:
+                self._observe(self._on_wait, start - submitted)
+        live = [(item, fut) for item, fut, _ in live]
         items = [item for item, _ in live]
         try:
             results = self._batch_fn(items)
@@ -255,10 +281,14 @@ class MicroBatcher:
                 self._batches_dispatched += 1
                 self._items_dispatched += len(live)
             if self._on_batch is not None:
-                try:
-                    self._on_batch(len(live), elapsed)
-                except Exception:  # observer bugs must not kill the worker
-                    _LOG.exception("micro-batcher on_batch observer raised")
+                self._observe(self._on_batch, len(live), elapsed)
+
+    @staticmethod
+    def _observe(observer: Callable, *args) -> None:
+        try:
+            observer(*args)
+        except Exception:  # observer bugs must not kill the worker
+            _LOG.exception("micro-batcher observer raised")
 
     def _resolve_individually(self, live: "List[Tuple[Any, Future]]",
                               batch_exc: BaseException) -> None:

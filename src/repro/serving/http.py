@@ -96,6 +96,10 @@ class ServingHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serving/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: with Nagle's algorithm on, a keep-alive client sending
+    # requests back to back waits for its own delayed ACK (~40 ms on
+    # Linux) before each response's last segment leaves the server.
+    disable_nagle_algorithm = True
 
     # ---------------------------------------------------------------- plumbing
 
@@ -109,11 +113,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, body: bytes,
               content_type: str = "application/json") -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        """Write the whole response — status line, headers, body — at once.
+
+        One ``write`` is one send: with TCP_NODELAY a separate header
+        write would leave as its own small segment.
+        """
+        self.log_request(status)
+        head = [f"{self.protocol_version} {status} "
+                f"{self.responses.get(status, ('',))[0]}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                f"Content-Type: {content_type}",
+                f"Content-Length: {len(body)}"]
+        if self.close_connection:
+            head.append("Connection: close")
+        self.wfile.write(
+            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
 
     def _send_json(self, status: int, payload) -> None:
         self._send(status, json.dumps(payload).encode())
@@ -121,15 +136,32 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_error_json(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
 
+    def _read_body(self) -> bytes:
+        """Read the request body before routing, whatever the route.
+
+        Every request's body leaves the socket before its response does,
+        so unread bytes are never parsed as the next request on this
+        keep-alive connection. A body over ``MAX_BODY_BYTES``, with an
+        invalid ``Content-Length``, or sent chunked is refused unread, and
+        the connection closes after the 400.
+        """
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if "Transfer-Encoding" in self.headers:
+            error = "chunked request bodies are not supported"
+        elif not declared.isdecimal():
+            error = "invalid Content-Length"
+        elif int(declared) > MAX_BODY_BYTES:
+            error = "request body too large"
+        else:
+            return self.rfile.read(int(declared))
+        self.close_connection = True
+        raise ValueError(error)
+
     def _read_json(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        raw = self._body
+        if not raw:
             self._send_error_json(400, "missing request body")
             return None
-        if length > MAX_BODY_BYTES:
-            self._send_error_json(400, "request body too large")
-            return None
-        raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)
         except ValueError:
@@ -153,7 +185,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _route(self, handler) -> None:
         start = time.monotonic()
         status = 500
+        self._body = b""
         try:
+            self._body = self._read_body()
             status = handler()
         except (InvalidTrajectoryError, ValueError) as exc:
             status = 400
@@ -319,10 +353,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200
 
     def _post_compact(self) -> int:
-        # Body is optional (an empty POST compacts everything).
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            self.rfile.read(min(length, MAX_BODY_BYTES))
+        # Body is optional and ignored (a POST compacts everything).
         compacted = self.service.compact()
         self._send_json(200, {"compacted": {str(s): bool(v)
                                             for s, v in compacted.items()}})
@@ -343,10 +374,7 @@ class _Handler(BaseHTTPRequestHandler):
         return 200
 
     def _post_restart(self) -> int:
-        # Body is optional; the shard id rides in the path.
-        length = int(self.headers.get("Content-Length") or 0)
-        if length:
-            self.rfile.read(min(length, MAX_BODY_BYTES))
+        # Body is optional and ignored; the shard id rides in the path.
         suffix = self.path[len("/admin/restart/"):]
         try:
             shard_id = int(suffix)

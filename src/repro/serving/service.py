@@ -71,9 +71,11 @@ class ServingConfig:
         Encoder micro-batch cap; concurrent requests beyond this start the
         next batch.
     max_wait_ms:
-        How long the batcher holds a partial batch for stragglers after
-        its first request arrives. 0 dispatches immediately (lowest
-        latency, least coalescing).
+        Ceiling on how long the batcher holds a partial batch for
+        stragglers after its first request arrives. It applies only under
+        contention (requests already queued, or the previous batch
+        coalesced two or more); a lone request dispatches at once. 0
+        never holds (least coalescing).
     cache_capacity:
         LRU result-cache entries; 0 disables caching.
     default_k:
@@ -388,6 +390,10 @@ class SimilarityService:
             "repro_topk_latency_seconds", "End-to-end top-k latency.")
         self._h_encode = reg.histogram(
             "repro_encode_batch_seconds", "Batched encoder call latency.")
+        self._h_queue_wait = reg.histogram(
+            "repro_batch_queue_wait_seconds",
+            "Time a request waits in the micro-batcher queue, from submit "
+            "to the start of its encoder batch.")
         self._h_batch_size = reg.histogram(
             "repro_encode_batch_size", "Trajectories per encoder batch.",
             buckets=DEFAULT_SIZE_BUCKETS)
@@ -405,7 +411,8 @@ class SimilarityService:
                 max_batch_size=self.config.max_batch_size,
                 max_wait_s=self.config.max_wait_ms / 1000.0,
                 on_batch=self._record_batch,
-                name="repro-encode-batcher")
+                name="repro-encode-batcher",
+                on_wait=self._h_queue_wait.observe)
 
     # ------------------------------------------------------------ constructors
 

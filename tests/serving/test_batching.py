@@ -180,18 +180,25 @@ def test_expired_deadline_fails_future_without_encoding():
 
 def test_mixed_deadlines_only_drop_the_expired_item():
     blocker = threading.Event()
+    started = threading.Event()
 
     def gated(items):
+        started.set()
         blocker.wait(timeout=5)
         return [x * 2 for x in items]
 
     batcher = MicroBatcher(gated, max_batch_size=2, max_wait_s=10.0)
     try:
         from repro.exceptions import DeadlineExceededError
+        # A lone item dispatches at once; hold the worker inside its batch
+        # so the next two queue up and are assembled into one batch.
+        busy = batcher.submit(0)
+        assert started.wait(timeout=5)
         dead = batcher.submit(1, deadline=time.monotonic() + 0.01)
         time.sleep(0.05)  # let the deadline lapse while queued
         live = batcher.submit(2, deadline=time.monotonic() + 30.0)
         blocker.set()
+        assert busy.result(timeout=5) == 0
         assert live.result(timeout=5) == 4
         with pytest.raises(DeadlineExceededError):
             dead.result(timeout=5)

@@ -262,3 +262,132 @@ def test_admin_reload_unsupported_409(server):
     status, body = _call(server, "/admin/reload", {})
     assert status == 409
     assert "reload" in _json(body)["error"]
+
+
+# ------------------------------------------------- keep-alive connections
+
+def _raw_exchange(server, request: bytes):
+    """Send raw request bytes on one connection; return (socket, reader)."""
+    import socket
+
+    host, port = server.server_address[:2]
+    sock = socket.create_connection((host, port), timeout=10)
+    sock.sendall(request)
+    return sock, sock.makefile("rb")
+
+
+def _read_response(reader):
+    """(status, headers dict, body) of the next response on ``reader``."""
+    status_line = reader.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    headers = {}
+    for line in iter(reader.readline, b"\r\n"):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reader.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
+_HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+def _post(path: str, body: bytes, length=None) -> bytes:
+    declared = len(body) if length is None else length
+    return (f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {declared}\r\n\r\n").encode() + body
+
+
+def test_unread_body_of_unknown_route_does_not_poison_keepalive(server):
+    """A 404'd POST body is drained, so the next request parses cleanly."""
+    sock, reader = _raw_exchange(
+        server, _post("/v1/nope", b'{"x": 1}') + _HEALTHZ)
+    try:
+        status, _, _ = _read_response(reader)
+        assert status == 404
+        status, headers, body = _read_response(reader)
+        assert status == 200
+        assert headers["content-type"] == "application/json"
+        assert _json(body)["status"] == "ok"
+    finally:
+        sock.close()
+
+
+@pytest.mark.parametrize("path", ["/v1/topk", "/admin/compact",
+                                  "/admin/restart/0"])
+def test_oversized_body_closes_the_connection(server, path):
+    """A body over MAX_BODY_BYTES is refused unread and the socket closes."""
+    from repro.serving.http import MAX_BODY_BYTES
+
+    sock, reader = _raw_exchange(
+        server, _post(path, b"", length=MAX_BODY_BYTES + 1))
+    try:
+        status, headers, body = _read_response(reader)
+        assert status == 400
+        assert "too large" in _json(body)["error"]
+        assert headers["connection"] == "close"
+        assert reader.read() == b""  # server closed; nothing else parsed
+    finally:
+        sock.close()
+
+
+@pytest.mark.parametrize("headers, error", [
+    ("Content-Length: 12x", "invalid Content-Length"),
+    ("Transfer-Encoding: chunked", "chunked"),
+])
+def test_unreadable_body_closes_the_connection(server, headers, error):
+    """A body whose length the server cannot trust is refused unread."""
+    sock, reader = _raw_exchange(
+        server, f"POST /v1/topk HTTP/1.1\r\nHost: t\r\n{headers}\r\n\r\n"
+        .encode())
+    try:
+        status, headers_out, body = _read_response(reader)
+        assert status == 400
+        assert error in _json(body)["error"]
+        assert headers_out["connection"] == "close"
+    finally:
+        sock.close()
+
+
+@pytest.mark.parametrize("path", ["/admin/compact", "/admin/restart/0"])
+def test_optional_admin_body_is_drained(server, path):
+    sock, reader = _raw_exchange(
+        server, _post(path, b'{"ignored": true}') + _HEALTHZ)
+    try:
+        status, _, _ = _read_response(reader)
+        assert status in (200, 409)  # restart: in-process tier answers 409
+        status, _, body = _read_response(reader)
+        assert status == 200
+        assert _json(body)["status"] == "ok"
+    finally:
+        sock.close()
+
+
+def test_keepalive_closed_loop_has_no_stall(server, serving_world):
+    """Back-to-back requests on one connection are not held ~40 ms each.
+
+    With Nagle's algorithm on the server socket and a response written in
+    two sends, every response waited for the client's delayed ACK.
+    """
+    import http.client
+    import statistics
+    import time
+
+    _, items = serving_world
+    host, port = server.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    body = json.dumps({"trajectory": items[1].points.tolist(), "k": 3,
+                       "use_cache": False})
+    try:
+        for method, path, payload in (("GET", "/healthz", None),
+                                      ("POST", "/v1/topk", body)):
+            times = []
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request(method, path, body=payload)
+                response = conn.getresponse()
+                response.read()
+                times.append(time.perf_counter() - start)
+                assert response.status == 200
+            assert statistics.median(times) < 0.010, (path, times)
+    finally:
+        conn.close()

@@ -166,6 +166,51 @@ def test_concurrent_queries_match_serial_quick(service, serving_world,
         assert got == expected
 
 
+def test_serial_caller_pays_no_queue_wait(serving_world, fresh_store):
+    """A lone caller dispatches at once, however long ``max_wait_ms`` is."""
+    model, items = serving_world
+    svc = SimilarityService(model, fresh_store,
+                            ServingConfig(max_wait_ms=50.0))
+    try:
+        for query in (items * 2)[:20]:
+            svc.top_k(query, k=3, use_cache=False)
+        wait = svc.registry.histogram(
+            "repro_batch_queue_wait_seconds").snapshot()
+        rendered = svc.render_metrics()
+    finally:
+        svc.close()
+    assert wait["count"] == 20
+    assert wait["p50"] < 0.0005
+    assert "repro_batch_queue_wait_seconds_count 20" in rendered
+
+
+def test_sixteen_threads_still_coalesce(serving_world, fresh_store):
+    """Under contention the batcher still forms multi-item batches."""
+    model, items = serving_world
+    svc = SimilarityService(model, fresh_store,
+                            ServingConfig(max_wait_ms=2.0))
+    barrier = threading.Barrier(16)
+
+    def client():
+        barrier.wait(timeout=30)
+        for query in items[:8]:
+            svc.top_k(query, k=3, use_cache=False)
+
+    try:
+        threads = [threading.Thread(target=client) for _ in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        sizes = svc.registry.histogram("repro_encode_batch_size").snapshot()
+        waits = svc.registry.histogram(
+            "repro_batch_queue_wait_seconds").snapshot()
+    finally:
+        svc.close()
+    assert sizes["sum"] == waits["count"] == 16 * 8
+    assert sizes["sum"] / sizes["count"] > 1.0
+
+
 @pytest.mark.serving
 def test_concurrent_queries_match_serial_16_clients(serving_world,
                                                     fresh_store):
