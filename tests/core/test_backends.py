@@ -80,6 +80,25 @@ def test_exact_backend_counts_full_scans(world):
     assert stats["candidates_scanned"] == 10
 
 
+@pytest.mark.parametrize("rows,dim", [(1, 3), (3001, 7), (5000, 32),
+                                      (700, 128)])
+def test_exact_scan_blocks_are_bit_identical_to_whole_table(rows, dim):
+    """The blocked scan gives the whole-table expression's exact bits."""
+    rng = np.random.default_rng(rows + dim)
+    store = EmbeddingStore(None, dim=dim)
+    table = rng.normal(scale=50.0, size=(rows, dim))
+    store.add_embeddings(table)
+    for query in rng.normal(scale=50.0, size=(4, dim)):
+        diffs = table - query[None, :]
+        want = np.sqrt((diffs * diffs).sum(axis=1))
+        got = store.backend._distances(query)
+        assert got.tobytes() == want.tobytes()
+        ids, dists = store.query_embedding(query, k=min(10, rows))
+        order = np.lexsort((np.arange(rows), want))[:min(10, rows)]
+        assert ids.tolist() == order.tolist()
+        assert dists.tobytes() == want[order].tobytes()
+
+
 def test_ivf_backend_scans_fraction(world):
     model, items = world
     store = EmbeddingStore(model, backend="ivf", nlist=8, nprobe=2, seed=0)
